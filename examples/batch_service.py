@@ -62,8 +62,9 @@ def main() -> None:
     wrapper = repository.compile_cluster("imdb-movies")
     print(
         f"compiled imdb-movies wrapper: {wrapper.stats.rules} rules, "
-        f"{wrapper.stats.steps_shared} DOM steps/page saved by "
-        f"prefix factoring"
+        f"{wrapper.stats.automaton_slots} automaton slots, "
+        f"{wrapper.stats.automaton_steps_saved} DOM steps/page saved by "
+        f"the single-pass scan"
     )
 
 

@@ -555,8 +555,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             ordered=True,
             adapter=adapter,
-            automaton=args.automaton,
-            transport=args.transport,
         )
         _attach_adapter_log(adapter, args)
     except (ValueError, OSError) as exc:
@@ -740,8 +738,6 @@ def _run_one_shard(args, directory, plan, repository, router,
             chunk_size=args.chunk_size,
             skip_unreadable=True,
             adapter=adapter,
-            automaton=args.automaton,
-            transport=args.transport,
         )
         _attach_adapter_log(
             adapter, args, log_suffix=f".{shard_basename(shard)}"
@@ -1264,7 +1260,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cluster=cluster or None,
         adapter=adapter,
         policy=policy,
-        automaton=args.automaton,
         # Compiled once, here; the supervisor's forked children inherit
         # this handler (and the stamped pin) without recompiling.
         artifact_version=reg_version,
@@ -1440,8 +1435,8 @@ def cmd_registry_show(args: argparse.Namespace) -> int:
         payload = manifest.to_dict()
         if args.stats:
             # Compile the version exactly as a deploy would and attach
-            # each cluster's compiler stats (trie sharing + automaton
-            # shape) to the printed manifest.
+            # each cluster's compiler stats (automaton shape + residual
+            # trie sharing) to the printed manifest.
             payload["compiler_stats"] = {
                 cluster: wrapper.stats.as_dict()
                 for cluster, wrapper in sorted(
@@ -1678,16 +1673,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--executor", choices=["thread", "process"],
                        default="thread")
     batch.add_argument("--chunk-size", type=int, default=16)
-    batch.add_argument("--no-automaton", dest="automaton",
-                       action="store_false",
-                       help="compile per-rule tries instead of the "
-                            "single-pass extraction automaton "
-                            "(output is identical either way)")
-    batch.add_argument("--transport", choices=["auto", "shm", "pickle"],
-                       default="auto",
-                       help="process-executor page transport: shared "
-                            "memory when available (auto), required "
-                            "(shm) or legacy pickling (pickle)")
     batch.add_argument("--route", choices=["auto", "hint"], default="auto",
                        help="auto: fit a signature router from labelled "
                             "exemplars; hint: trust filename hints")
@@ -1733,14 +1718,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   choices=["thread", "process"],
                                   default="thread")
         shard_parser.add_argument("--chunk-size", type=int, default=16)
-        shard_parser.add_argument("--no-automaton", dest="automaton",
-                                  action="store_false",
-                                  help="compile per-rule tries instead "
-                                       "of the single-pass automaton")
-        shard_parser.add_argument("--transport",
-                                  choices=["auto", "shm", "pickle"],
-                                  default="auto",
-                                  help="process-executor page transport")
         shard_parser.add_argument("--route", choices=["auto", "hint"],
                                   default="auto")
         shard_parser.add_argument("--threshold", type=float, default=0.5)
@@ -1848,10 +1825,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="on exit, write the Prometheus text "
                             "exposition of this run's metrics here "
                             "(--http serves it live on GET /metrics)")
-    serve.add_argument("--no-automaton", dest="automaton",
-                       action="store_false",
-                       help="compile per-rule tries instead of the "
-                            "single-pass extraction automaton")
     _adaptation_arguments(serve)
     _registry_arguments(serve, canary=True)
     serve.set_defaults(func=cmd_serve, stdin=None, stdout=None)
@@ -1878,7 +1851,9 @@ def build_parser() -> argparse.ArgumentParser:
     r_show.add_argument("--stats", action="store_true",
                         help="compile the version's wrappers and "
                              "include per-cluster compiler stats "
-                             "(trie sharing and automaton shape)")
+                             "(automaton shape, and prefix sharing in "
+                             "the residual trie of primaries the "
+                             "automaton cannot absorb)")
     r_show.set_defaults(func=cmd_registry_show)
 
     r_diff = registry_sub.add_parser(

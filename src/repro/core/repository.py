@@ -108,28 +108,23 @@ class RuleRepository:
 
     # -- compilation (service subsystem entry point) ----------------------- #
 
-    def compile_cluster(self, cluster: str, postprocessor=None, automaton=True):
+    def compile_cluster(self, cluster: str, postprocessor=None):
         """Compile one cluster's rules into a :class:`CompiledWrapper`.
 
         The compiled wrapper is the deployable serving artifact: XPath
-        ASTs are pre-parsed, shared location-path prefixes are factored
-        so sibling components reuse one DOM walk, and post-processor
-        chains are pre-resolved.  With ``automaton=True`` (default)
-        eligible locations additionally fuse into a single-pass DOM
-        automaton.  See :mod:`repro.service.compiler`.
+        ASTs are pre-parsed, eligible locations fuse into a single-pass
+        DOM automaton, the remaining relative primaries share one
+        prefix-trie walk, and post-processor chains are pre-resolved.
+        See :mod:`repro.service.compiler`.
         """
         from repro.service.compiler import compile_wrapper
 
-        return compile_wrapper(
-            self, cluster, postprocessor=postprocessor, automaton=automaton
-        )
+        return compile_wrapper(self, cluster, postprocessor=postprocessor)
 
-    def compile_all(self, postprocessor=None, automaton=True) -> dict:
+    def compile_all(self, postprocessor=None) -> dict:
         """Compile every cluster: cluster name -> :class:`CompiledWrapper`."""
         return {
-            cluster: self.compile_cluster(
-                cluster, postprocessor=postprocessor, automaton=automaton
-            )
+            cluster: self.compile_cluster(cluster, postprocessor=postprocessor)
             for cluster in self.clusters()
         }
 

@@ -136,11 +136,6 @@ from repro.service.supervisor import (
     reuseport_available,
     slice_body,
 )
-from repro.service.transport import (
-    SharedMemoryPageTransport,
-    StagedChunk,
-    TRANSPORT_KINDS,
-)
 from repro.service.sink import (
     CollectingSink,
     JsonlSink,
@@ -205,7 +200,6 @@ __all__ = [
     "ServeStats",
     "ServeSupervisor",
     "ShadowEvent",
-    "SharedMemoryPageTransport",
     "ShardManifest",
     "ShardMerger",
     "ShardPlan",
@@ -214,10 +208,8 @@ __all__ = [
     "ShardWorker",
     "SliceCheckpoint",
     "Stage",
-    "StagedChunk",
     "StreamingRuntime",
     "SupervisorStats",
-    "TRANSPORT_KINDS",
     "UNROUTABLE",
     "VersionManifest",
     "XmlDirectorySink",

@@ -69,10 +69,6 @@ class BatchExtractionEngine:
         metrics: a :class:`~repro.service.metrics.MetricsRegistry` for
             the runtime's per-cluster counters and latency histograms
             (default: the process-wide registry).
-        automaton: compile wrappers with the single-pass extraction
-            automaton (default); ``False`` keeps the shared-trie path.
-        transport: process-executor page transport — ``"auto"``,
-            ``"shm"`` or ``"pickle"`` (ignored by other executors).
     """
 
     def __init__(
@@ -87,8 +83,6 @@ class BatchExtractionEngine:
         ordered: bool = False,
         adapter=None,
         metrics=None,
-        automaton: bool = True,
-        transport: str = "auto",
     ) -> None:
         self.runtime = StreamingRuntime(
             repository,
@@ -101,8 +95,6 @@ class BatchExtractionEngine:
             ordered=ordered,
             adapter=adapter,
             metrics=metrics,
-            automaton=automaton,
-            transport=transport,
         )
         self.repository = repository
         self.router = adapter if adapter is not None else router

@@ -114,12 +114,14 @@ METRIC_SPECS: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "repro_route_seconds", "histogram", (),
-        "Routing-stage latency per page (seconds).",
+        "Routing-stage latency per page (seconds); with a router it "
+        "includes the parent's HTML parse for the page signature.",
         buckets=FINE_BUCKETS,
     ),
     MetricSpec(
         "repro_extract_seconds", "histogram", ("cluster",),
-        "Extraction-stage worker latency per page (seconds).",
+        "Extraction-stage worker latency per page (seconds); in process "
+        "mode it includes the worker's re-parse of the page HTML.",
     ),
     MetricSpec(
         "repro_automaton_pages_total", "counter", ("cluster",),
@@ -128,20 +130,6 @@ METRIC_SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "repro_chunks_cold_total", "counter", ("cluster",),
         "Chunks that paid worker wrapper-compile (warm-up) cost.",
-    ),
-    MetricSpec(
-        "repro_transport_chunks_total", "counter", ("kind",),
-        "Process-executor chunks shipped, by transport kind "
-        "(shm or pickle).",
-    ),
-    MetricSpec(
-        "repro_transport_bytes_total", "counter", ("kind",),
-        "Page payload bytes shipped to process workers, by transport "
-        "kind.",
-    ),
-    MetricSpec(
-        "repro_shm_segments_active", "gauge", (),
-        "Shared-memory segments currently staged, not yet released.",
     ),
     MetricSpec(
         "repro_request_seconds", "histogram", (),

@@ -56,11 +56,6 @@ from repro.service.sink import (
     ResultSink,
     make_error_record,
 )
-from repro.service.transport import (
-    TRANSPORT_KINDS,
-    SharedMemoryPageTransport,
-    load_shm_chunk,
-)
 from repro.sites.page import WebPage
 
 #: What a source yields: (global submission index, page).  Indices must
@@ -396,16 +391,12 @@ EngineReport = RuntimeReport
 
 _WORKER_REPOSITORY: Optional[RuleRepository] = None
 _WORKER_WRAPPERS: Dict[str, CompiledWrapper] = {}
-_WORKER_AUTOMATON: bool = True
 
 
-def _init_process_worker(
-    repository_data: dict, automaton: bool = True
-) -> None:
-    global _WORKER_REPOSITORY, _WORKER_WRAPPERS, _WORKER_AUTOMATON
+def _init_process_worker(repository_data: dict) -> None:
+    global _WORKER_REPOSITORY, _WORKER_WRAPPERS
     _WORKER_REPOSITORY = RuleRepository.from_dict(repository_data)
     _WORKER_WRAPPERS = {}
-    _WORKER_AUTOMATON = automaton
 
 
 def _worker_wrapper(cluster: str) -> tuple[CompiledWrapper, bool]:
@@ -420,9 +411,7 @@ def _worker_wrapper(cluster: str) -> tuple[CompiledWrapper, bool]:
     wrapper = _WORKER_WRAPPERS.get(cluster)
     warm = wrapper is not None
     if wrapper is None:
-        wrapper = _WORKER_REPOSITORY.compile_cluster(
-            cluster, automaton=_WORKER_AUTOMATON
-        )
+        wrapper = _WORKER_REPOSITORY.compile_cluster(cluster)
         _WORKER_WRAPPERS[cluster] = wrapper
     return wrapper, warm
 
@@ -443,21 +432,6 @@ def _process_chunk(
             for seq, index, url, html in payload
         ],
         contain_errors,
-    )
-    return outcomes, time.perf_counter() - started, warm
-
-
-def _process_chunk_shm(
-    cluster: str,
-    payload: tuple,
-    contain_errors: bool,
-) -> tuple[list[_Outcome], float, bool]:
-    """Like :func:`_process_chunk`, pages read from shared memory."""
-    wrapper, warm = _worker_wrapper(cluster)
-    name, entries = payload
-    started = time.perf_counter()
-    outcomes = _extract_chunk(
-        wrapper, load_shm_chunk(name, entries), contain_errors
     )
     return outcomes, time.perf_counter() - started, warm
 
@@ -618,14 +592,6 @@ class StreamingRuntime:
             :data:`~repro.service.metrics.NULL_METRICS` to run
             uninstrumented).  Instrumentation never touches output
             bytes.
-        automaton: compile wrappers with the single-pass extraction
-            automaton (default); ``False`` keeps the shared-trie path
-            (the ``--no-automaton`` escape hatch).  Output bytes are
-            identical either way.
-        transport: page transport for the process executor —
-            ``"auto"`` (shared memory when available, else pickle),
-            ``"shm"`` (require shared memory) or ``"pickle"`` (force
-            the legacy inline payloads).  Ignored by other executors.
     """
 
     def __init__(
@@ -642,16 +608,9 @@ class StreamingRuntime:
         contain_errors: bool = False,
         adapter=None,
         metrics=None,
-        automaton: bool = True,
-        transport: str = "auto",
     ) -> None:
         if executor not in EXECUTOR_KINDS:
             raise ValueError(f"unknown executor kind {executor!r}")
-        if transport not in TRANSPORT_KINDS:
-            raise ValueError(
-                f"unknown transport {transport!r} "
-                f"(choose from {TRANSPORT_KINDS})"
-            )
         if adapter is not None:
             if router is not None:
                 raise ValueError(
@@ -677,14 +636,7 @@ class StreamingRuntime:
         self.ordered = ordered
         self.contain_errors = contain_errors
         self.adapter = adapter
-        self.automaton = automaton
-        self.transport = transport
         self.metrics = metrics if metrics is not None else default_registry()
-        self._transport = (
-            SharedMemoryPageTransport(mode=transport, metrics=self.metrics)
-            if executor == "process"
-            else None
-        )
         self._m_routed = self.metrics.from_spec("repro_pages_routed_total")
         self._m_unroutable = self.metrics.from_spec(
             "repro_pages_unroutable_total"
@@ -707,8 +659,7 @@ class StreamingRuntime:
         # applies the resolved chains as records drain — same values
         # either way.
         self._wrappers: Dict[str, CompiledWrapper] = repository.compile_all(
-            postprocessor if executor != "process" else None,
-            automaton=automaton,
+            postprocessor if executor != "process" else None
         )
         #: Clusters whose wrapper actually drives the automaton (at
         #: least one location compiled to a slot) — the basis for the
@@ -773,7 +724,7 @@ class StreamingRuntime:
             refits_before = self.adapter.refits
         started = time.perf_counter()
         executor = self._make_executor()
-        pending: deque[tuple[str, object, Optional[str]]] = deque()
+        pending: deque[tuple[str, object]] = deque()
         buffers: Dict[str, list[tuple[int, int, WebPage]]] = {}
 
         def release(item) -> None:
@@ -832,11 +783,6 @@ class StreamingRuntime:
             assert emitter is None or emitter.held == 0
         finally:
             executor.shutdown(wait=True)
-            if self._transport is not None:
-                # Error-path sweep: normal drains already released
-                # their leases; this reclaims segments stranded by an
-                # exception or cancellation mid-flight.
-                self._transport.close_all()
         if self.adapter is not None:
             report.drift_events = self.adapter.drift_events - drift_before
             report.refits = self.adapter.refits - refits_before
@@ -881,7 +827,7 @@ class StreamingRuntime:
             return ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_process_worker,
-                initargs=(self.repository.to_dict(), self.automaton),
+                initargs=(self.repository.to_dict(),),
             )
         if self.executor_kind == "thread":
             return ThreadPoolExecutor(max_workers=self.workers)
@@ -944,29 +890,20 @@ class StreamingRuntime:
         pending: deque,
         report: RuntimeReport,
     ) -> None:
-        lease: Optional[str] = None
         if self.executor_kind == "process":
-            staged = self._transport.stage(chunk)
-            lease = staged.segment
-            worker = _process_chunk_shm if lease is not None else _process_chunk
-            try:
-                future = executor.submit(
-                    worker, cluster, staged.payload, self.contain_errors
-                )
-            except BaseException:
-                # Stage succeeded but no future exists to carry the
-                # lease: without this release the segment would only
-                # fall to the close_all() sweep — or leak outright if
-                # the caller swallows the submit failure.
-                if lease is not None:
-                    self._transport.release(lease)
-                raise
+            payload = [
+                (seq, index, page.url, page.html)
+                for seq, index, page in chunk
+            ]
+            future = executor.submit(
+                _process_chunk, cluster, payload, self.contain_errors
+            )
         else:
             wrapper = self._wrappers[cluster]
             future = executor.submit(
                 self._local_chunk, wrapper, chunk, self.contain_errors
             )
-        pending.append((cluster, future, lease))
+        pending.append((cluster, future))
         stats = report.per_cluster.setdefault(cluster, ClusterStats())
         stats.chunks += 1
 
@@ -989,14 +926,8 @@ class StreamingRuntime:
         emitter: Optional[OrderedEmitter],
         report: RuntimeReport,
     ) -> None:
-        cluster, future, lease = pending.popleft()
-        try:
-            outcomes, seconds, warm = future.result()
-        finally:
-            # The segment lease must drop however the chunk ended —
-            # success, contained error or a dead worker alike.
-            if lease is not None:
-                self._transport.release(lease)
+        cluster, future = pending.popleft()
+        outcomes, seconds, warm = future.result()
         stats = report.per_cluster.setdefault(cluster, ClusterStats())
         stats.worker_seconds += seconds
         if warm:

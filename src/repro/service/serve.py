@@ -157,8 +157,6 @@ class ServeHandler:
             request latency/outcome series and admission counters
             (default: the process-wide registry, which is what
             ``GET /metrics`` renders).
-        automaton: compile wrappers with the single-pass extraction
-            automaton (default); ``False`` keeps the shared-trie path.
 
     Thread-safe: the wrapped inline runtime keeps no per-run state
     (and the adapter guards its own), so the async front-ends call
@@ -174,7 +172,6 @@ class ServeHandler:
         adapter=None,
         policy: Optional[ServePolicy] = None,
         metrics=None,
-        automaton: bool = True,
         artifact_version: Optional[str] = None,
     ) -> None:
         if adapter is not None and router is not None:
@@ -213,7 +210,6 @@ class ServeHandler:
             contain_errors=True,
             adapter=adapter,
             metrics=self.metrics,
-            automaton=automaton,
         )
 
     @property

@@ -428,8 +428,6 @@ class ShardWorker:
         skip_unreadable: bool = False,
         adapter=None,
         metrics=None,
-        automaton: bool = True,
-        transport: str = "auto",
     ) -> None:
         if not 0 <= shard < plan.shards:
             raise ShardPlanError(
@@ -453,8 +451,6 @@ class ShardWorker:
             ordered=True,
             adapter=adapter,
             metrics=metrics,
-            automaton=automaton,
-            transport=transport,
         )
 
     def run(

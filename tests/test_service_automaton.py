@@ -1,4 +1,4 @@
-"""Single-pass automaton: byte-identical to the trie and the processor."""
+"""Single-pass automaton: byte-identical to the processor on every path."""
 
 import io
 import json
@@ -16,7 +16,8 @@ from repro.service.automaton import (
     step_constraint,
     _UNBOUNDED,
 )
-from repro.service.metrics import ProgressEmitter
+from repro.service.metrics import MetricsRegistry, ProgressEmitter
+from repro.service.runtime import IterablePageSource, StreamingRuntime
 from repro.sites import (
     generate_imdb_site,
     generate_news_site,
@@ -190,6 +191,19 @@ def _outcome(extraction):
     )
 
 
+def _per_page(extraction):
+    """``(url, values, failures)`` per page — what a record carries."""
+    failures: dict = {}
+    for failure in extraction.failures:
+        failures.setdefault(failure.page_url, []).append(
+            (failure.component_name, failure.reason)
+        )
+    return [
+        (page.url, page.values, failures.get(page.url, []))
+        for page in extraction.pages
+    ]
+
+
 class TestByteIdentitySweep:
     @pytest.mark.parametrize("site_factory, cluster, components",
                              SITE_FAMILIES)
@@ -203,12 +217,25 @@ class TestByteIdentitySweep:
         assert report.failed_components == []
         stream = pages + MALFORMED
         sequential = ExtractionProcessor(repository, cluster).extract(stream)
-        with_automaton = repository.compile_cluster(cluster).extract(stream)
-        trie_only = repository.compile_cluster(
-            cluster, automaton=False
-        ).extract(stream)
-        assert _outcome(with_automaton) == _outcome(sequential)
-        assert _outcome(trie_only) == _outcome(sequential)
+        compiled = repository.compile_cluster(cluster).extract(stream)
+        assert _outcome(compiled) == _outcome(sequential)
+
+        # The process executor re-parses each page in a worker from its
+        # pickled HTML; fresh hinted copies route every page (malformed
+        # ones included) to the cluster under test.
+        runtime = StreamingRuntime(
+            repository, executor="process", workers=2, ordered=True,
+            metrics=MetricsRegistry(),
+        )
+        report, records = runtime.run_collect(IterablePageSource(
+            WebPage(url=page.url, html=page.html, cluster_hint=cluster)
+            for page in stream
+        ))
+        assert report.pages_served == len(stream)
+        assert [
+            (record.url, record.values, record.failures)
+            for record in records
+        ] == _per_page(sequential)
 
 
 class TestCompilerStats:
@@ -220,14 +247,6 @@ class TestCompilerStats:
         assert stats.automaton_states > 0
         assert stats.automaton_transitions < stats.automaton_location_steps
         assert stats.automaton_steps_saved > 0
-
-    def test_disabled_automaton_zeroes_the_stats(self, service_repository):
-        wrapper = service_repository.compile_cluster(
-            "imdb-movies", automaton=False
-        )
-        assert wrapper.automaton is None
-        assert wrapper.stats.automaton_slots == 0
-        assert wrapper.stats.automaton_steps_saved == 0
 
     def test_as_dict_round_trips_every_field(self, service_repository):
         payload = service_repository.compile_cluster(
@@ -278,26 +297,3 @@ class TestProgressAndCli:
         stats = payload["compiler_stats"]
         assert set(stats) == {"imdb-movies", "imdb-actors"}
         assert stats["imdb-movies"]["automaton_slots"] >= 3
-
-    def test_no_automaton_cli_output_identical(self, service_repository,
-                                               service_site, tmp_path):
-        from repro.cli import main
-
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        for i, page in enumerate(
-            service_site.pages_with_hint("imdb-movies")[:12]
-        ):
-            (corpus / f"imdb-movies-{i:03d}.html").write_text(
-                page.html, encoding="utf-8"
-            )
-        rules = tmp_path / "rules.json"
-        service_repository.save(rules)
-        fast = tmp_path / "fast.jsonl"
-        slow = tmp_path / "slow.jsonl"
-        assert main(["batch", str(corpus), "--repository", str(rules),
-                     "--route", "hint", "--jsonl", str(fast)]) == 0
-        assert main(["batch", str(corpus), "--repository", str(rules),
-                     "--route", "hint", "--jsonl", str(slow),
-                     "--no-automaton"]) == 0
-        assert fast.read_bytes() == slow.read_bytes()

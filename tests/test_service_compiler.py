@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ExtractionError
+from repro.core.builder import MappingRuleBuilder
 from repro.core.component import PageComponent
+from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
 from repro.core.rule import MappingRule
 from repro.extraction.extractor import ExtractionProcessor
@@ -14,6 +16,7 @@ from repro.service.compiler import (
     _fast_step_eligible,
     compile_wrapper,
 )
+from repro.sites import generate_shop_site
 from repro.sites.page import WebPage
 from repro.xpath.parser import parse_xpath
 
@@ -42,21 +45,44 @@ class TestCompilation:
         wrappers = service_repository.compile_all()
         assert set(wrappers) == {"imdb-movies", "imdb-actors"}
 
-    def test_prefix_factoring_shares_steps(self, service_repository):
-        wrapper = service_repository.compile_cluster("imdb-movies")
-        stats = wrapper.stats
-        # title/rating/genres all live under BODY[1]/DIV[2]: the trie
-        # must hold strictly fewer nodes than the flat step count.
-        assert stats.trie_rules == 3
+    def test_automaton_primaries_stay_out_of_the_trie(
+        self, service_repository
+    ):
+        # title/rating/genres are all positional paths: each primary is
+        # an automaton slot, so the residual trie holds nothing.
+        stats = service_repository.compile_cluster("imdb-movies").stats
+        assert stats.automaton_slots >= 3
+        assert stats.trie_rules == 0
+        assert stats.primary_steps == 0
+        assert stats.trie_nodes == 0
+        assert stats.steps_shared == 0
+
+    def test_prefix_factoring_shares_steps(self):
+        # The shop family's primaries are the paper's contextual label
+        # anchors, all under BODY// — none fits the automaton, and the
+        # residual trie must hold strictly fewer nodes than the flat
+        # step count.
+        pages = generate_shop_site(24, seed=4).pages_with_hint(
+            "shop-products"
+        )
+        repository = RuleRepository()
+        MappingRuleBuilder(
+            pages[:8], ScriptedOracle(), repository=repository,
+            cluster_name="shop-products", seed=1,
+        ).build_all(["product-name", "price", "old-price", "features"])
+        stats = repository.compile_cluster("shop-products").stats
+        assert stats.automaton_slots == 0
+        assert stats.trie_rules == 4
         assert stats.trie_nodes < stats.primary_steps
         assert stats.steps_shared > 0
 
     def test_disjoint_prefixes_do_not_share(self):
         repository = _repo(
-            ("a", ["BODY[1]/P[1]/text()[1]"]),
-            ("b", ["DIV[1]/P[1]/text()[1]"]),
+            ("a", ["BODY[1]//P[1]/text()[1]"]),
+            ("b", ["DIV[1]//P[1]/text()[1]"]),
         )
         wrapper = repository.compile_cluster("c")
+        assert wrapper.stats.trie_rules == 2
         assert wrapper.stats.steps_shared == 0
 
     def test_absolute_location_stays_out_of_trie(self):

@@ -1,17 +1,23 @@
 """The streaming runtime: sources, ordered emission, executors, stages."""
 
+import io
+import json
 import random
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core.repository import RuleRepository
 from repro.service.compiler import CompiledWrapper
+from repro.service.metrics import CancellationToken, MetricsRegistry
 from repro.service.runtime import (
+    ClusterStats,
     IterablePageSource,
     LoadingPageSource,
     OrderedEmitter,
     StreamingRuntime,
 )
-from repro.service.sink import CollectingSink, PageRecord
+from repro.service.sink import CollectingSink, JsonlSink, PageRecord
 from repro.sites.page import WebPage
 
 
@@ -269,11 +275,6 @@ class TestStreamingRuntime:
     def test_contained_error_records_keep_submission_order(
         self, movie_pages_30, service_repository, monkeypatch
     ):
-        import io
-        import json
-
-        from repro.service.sink import JsonlSink
-
         victim = movie_pages_30[4].url
         original = CompiledWrapper.extract_page
 
@@ -395,3 +396,114 @@ class TestStreamingRuntime:
     def test_inline_runtime_reports_clusters(self, service_repository):
         runtime = StreamingRuntime(service_repository, executor="inline")
         assert set(runtime.clusters()) == set(service_repository.clusters())
+
+
+class TestProcessExecutor:
+    """The process pool: containment, cancellation, worker death."""
+
+    def _source(self, service_site, n=40):
+        return IterablePageSource(
+            service_site.pages_with_hint("imdb-movies")[:n]
+        )
+
+    def test_contained_errors_mode_serves_every_page(
+        self, service_repository, service_site
+    ):
+        runtime = StreamingRuntime(
+            service_repository, workers=2, executor="process",
+            chunk_size=4, contain_errors=True, metrics=MetricsRegistry(),
+        )
+        report, records = runtime.run_collect(
+            self._source(service_site, 16)
+        )
+        assert report.pages_served == 16
+        assert report.errors_count == 0
+        assert len(records) == 16
+
+    def test_cancellation_drains_to_line_complete_output(
+        self, service_repository, service_site
+    ):
+        cancel = CancellationToken()
+        runtime = StreamingRuntime(
+            service_repository, workers=2, executor="process",
+            chunk_size=2, ordered=True, metrics=MetricsRegistry(),
+        )
+        stream = io.StringIO()
+        with JsonlSink(stream) as sink:
+            report = runtime.run(
+                self._source(service_site),
+                sink,
+                cancel=cancel,
+                on_progress=lambda _report: cancel.cancel(),
+            )
+        assert report.cancelled
+        text = stream.getvalue()
+        assert text.endswith("\n")
+        lines = [json.loads(line) for line in text.splitlines()]
+        # Admitted pages drained in order; the rest were never read.
+        assert len(lines) == report.pages_served < 40
+        assert [line["index"] for line in lines] == list(range(len(lines)))
+
+    def test_worker_death_surfaces_broken_pool(
+        self, service_repository, service_site
+    ):
+        class _PoisonedRepository(RuleRepository):
+            # Workers re-hydrate the repository from this dict; a
+            # poisoned payload kills every worker at initialisation
+            # and the pool breaks.
+            def to_dict(self):
+                return {"version": "not-a-real-format"}
+
+        poisoned = _PoisonedRepository()
+        for cluster, rule in service_repository:
+            poisoned.record(cluster, rule)
+        runtime = StreamingRuntime(
+            poisoned, workers=2, executor="process",
+            chunk_size=4, metrics=MetricsRegistry(),
+        )
+        with pytest.raises(BrokenProcessPool):
+            runtime.run_collect(self._source(service_site, 16))
+
+
+class TestWarmAccounting:
+    def test_pages_per_second_prefers_warm_chunks(self):
+        stats = ClusterStats(pages=100, worker_seconds=20.0,
+                             cold_chunks=1, warm_pages=50, warm_seconds=5.0)
+        assert stats.pages_per_second == pytest.approx(10.0)
+        # Without warm data the all-chunk figure is the fallback.
+        cold_only = ClusterStats(pages=100, worker_seconds=20.0)
+        assert cold_only.pages_per_second == pytest.approx(5.0)
+
+    def test_process_runs_mark_first_chunks_cold(self, service_repository,
+                                                 service_site):
+        metrics = MetricsRegistry()
+        runtime = StreamingRuntime(
+            service_repository, workers=2, executor="process",
+            chunk_size=4, metrics=metrics,
+        )
+        source = IterablePageSource(
+            service_site.pages_with_hint("imdb-movies")[:40]
+        )
+        report, _ = runtime.run_collect(source)
+        stats = report.per_cluster["imdb-movies"]
+        # Each worker compiles the wrapper once; everything else is warm.
+        assert 1 <= stats.cold_chunks <= 2
+        assert stats.warm_pages == 40 - (
+            stats.cold_chunks * 4
+        )
+        assert "repro_chunks_cold_total" in metrics.render()
+
+    def test_local_executors_are_always_warm(self, service_repository,
+                                             service_site):
+        for executor in ("inline", "thread"):
+            runtime = StreamingRuntime(
+                service_repository, workers=2, executor=executor,
+                chunk_size=4, metrics=MetricsRegistry(),
+            )
+            source = IterablePageSource(
+                service_site.pages_with_hint("imdb-movies")[:20]
+            )
+            report, _ = runtime.run_collect(source)
+            stats = report.per_cluster["imdb-movies"]
+            assert stats.cold_chunks == 0
+            assert stats.warm_pages == 20

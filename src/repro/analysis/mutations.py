@@ -10,7 +10,7 @@ diffing the mutant's findings against the clean baseline:
   the mutation introduced;
 * no false positives — the mutation introduces findings of *only*
   the expected code (pre-existing info diagnostics such as RW301 on
-  descendant-axis locations are baseline, not noise).
+  automaton-ineligible locations are baseline, not noise).
 
 Mutations are pure: each one deep-copies the repository (via its own
 serialization round trip) or rebuilds the router, so a harness run

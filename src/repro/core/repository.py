@@ -113,8 +113,8 @@ class RuleRepository:
 
         The compiled wrapper is the deployable serving artifact: XPath
         ASTs are pre-parsed, eligible locations fuse into a single-pass
-        DOM automaton, the remaining relative primaries share one
-        prefix-trie walk, and post-processor chains are pre-resolved.
+        DOM automaton, the rest evaluate lazily through the generic
+        XPath select, and post-processor chains are pre-resolved.
         See :mod:`repro.service.compiler`.
         """
         from repro.service.compiler import compile_wrapper

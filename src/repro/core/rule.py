@@ -149,8 +149,8 @@ class MappingRule:
         """Build a :class:`MatchResult` from nodes selected elsewhere.
 
         The compiled-wrapper path (:mod:`repro.service.compiler`)
-        evaluates locations through a shared prefix trie and hands the
-        selected nodes back here, so value grouping stays identical to
+        selects nodes for every location in one automaton scan and
+        hands them back here, so value grouping stays identical to
         :meth:`apply`.
         """
         if not nodes:

@@ -256,10 +256,19 @@ class Node:
 
 
 def _reverse_document_order(node: Node) -> Iterator[Node]:
-    """Yield ``node``'s subtree in reverse document order (node last)."""
-    for child in reversed(node.children):
-        yield from _reverse_document_order(child)
-    yield node
+    """Yield ``node``'s subtree in reverse document order (node last).
+
+    An explicit stack, like :meth:`Node.descendants`: a page as deep as
+    the parser allows must not hit the interpreter recursion limit.
+    """
+    stack = [(node, False)]
+    while stack:
+        current, expanded = stack.pop()
+        if expanded or not current.children:
+            yield current
+        else:
+            stack.append((current, True))
+            stack.extend((child, False) for child in current.children)
 
 
 class Document(Node):

@@ -1,11 +1,8 @@
 """Single-pass extraction automaton: one DOM walk feeds every rule.
 
-The PR-1 compiler factors *primary* locations into a prefix trie, but
-each trie branch still materialises its own node lists and every
-alternative location re-traverses the tree from scratch through the
-generic evaluator.  This module compiles **all** automaton-eligible
-locations of a cluster — primaries *and* alternatives, across every
-rule — into one deterministic tree automaton:
+A :class:`~repro.service.compiler.CompiledWrapper` compiles **all**
+eligible locations of a cluster — primaries *and* alternatives, across
+every rule — into one deterministic tree automaton:
 
 * **States** form a trie over location steps: locations sharing a
   step prefix share the states for that prefix, so the shared work is
@@ -14,29 +11,51 @@ rule — into one deterministic tree automaton:
   offers cheaply during a scan: a ``tag -> targets`` dict for named
   element tests plus optional ``*``/``text()``/``comment()``/
   ``node()`` target lists.  Each target carries the step's positional
-  constraint (``TR[2]``-style) or ``None`` for "every match".
+  constraint (``TR[2]``-style) or "every match", and a target state
+  reached through a label-anchored step carries its anchor.  A bare
+  ``//`` is an epsilon edge into a state that stays live on every
+  descendant (a self-loop).
 * **Accepting states** emit into *slots*: each compiled location owns
   one slot, and :meth:`ExtractionAutomaton.scan` returns the matched
-  nodes per slot after a single preorder traversal.
+  nodes per slot after a single traversal.
 
-Eligibility covers the paper's canonical rule shapes: a location
-joins the automaton when it is a *relative* location path whose steps
-are all ``child``-axis with at most one *positional* predicate —
-either a number literal (``TR[2]``) or a ``position()`` comparison
-against one (``LI[position() >= 1]``, the builder's multi-valued
-range form).  Every such constraint compiles to ``(lo, hi, ne)``
-index bounds checked against per-parent sibling counters.  Anything
-else (absolute paths, filter expressions, descendant axes, value
-predicates) stays on the generic evaluator, selected lazily per rule.
+Eligibility grammar — a *relative*, non-empty location path whose
+every step is one of::
 
-Byte-identity argument: every automaton step is a ``child`` step, so
-a slot's matches all sit at one fixed depth and their parents are
-*disjoint* (no node an ancestor of another).  A preorder scan visits
-those parents in document order and emits each parent's matching
-children in child-list order; the concatenation is therefore exactly
-the document-ordered, duplicate-free node list the specialised
-:func:`~repro.service.compiler._apply_fast_child_step` cascade
-produces — which is itself proven identical to the generic evaluator.
+    child::test                          every match
+    child::test[N]                       N a number literal
+    child::test[position() op N]         op in = != < <= > >= (either order)
+    child::test[ANCHOR]                  the paper's label anchor
+    descendant-or-self::node()           the bare // step
+
+    test    := NAME | * | text() | comment() | node()
+               | processing-instruction()
+    ANCHOR  := normalize-space(NEAREST) = "literal"
+             | contains(normalize-space(NEAREST), "literal")
+    NEAREST := preceding::text()[normalize-space(.) != ""][1]
+
+Every positional form compiles to ``(lo, hi, ne)`` index bounds
+checked against per-parent sibling counters.  Anything else (absolute
+paths, filter expressions, other axes, value predicates, a
+``following::`` anchor, a second predicate) stays on the generic
+evaluator; :func:`location_ineligibility` names the reason.
+
+One walk, byte-identical to the generic evaluator: :meth:`scan`
+visits the context's subtree in preorder (document order) and carries
+the set of states each node reached.  A child step's target is reached
+from its parent state on the node's parent, under the same sibling
+counters the evaluator's per-parent predicate filter uses; a ``//``
+state is reached on a node and on all its descendants, which is
+``descendant-or-self::node()``.  Descent skips children that reached
+no state at all, unless the automaton has label states.  The anchor's
+``NEAREST`` is the closest non-blank text node before the node in
+document order: text nodes are never ancestors, so that is the last
+text node with non-empty ``" ".join(data.split())`` (the
+``normalize-space`` normalisation) the walk has passed, seeded from the
+text before the context node; an empty axis normalises to ``""``.
+Reached-state sets hold each state once and every slot has one
+accepting state, so a node is emitted at most once per slot, and
+visits come in document order — the evaluator's node-set.
 """
 
 from __future__ import annotations
@@ -48,20 +67,24 @@ from typing import Iterable, Optional, Tuple
 
 from repro.dom.node import Element, Text
 from repro.xpath.ast import (
+    DESCENDANT_OR_SELF_STEP,
     BinaryOp,
     FunctionCall,
     LocationPath,
     NameTest,
     NumberLiteral,
     Step,
+    StringLiteral,
+    is_position_call,
 )
 from repro.xpath.engine import XPath
+from repro.xpath.parser import parse_xpath
 
 __all__ = [
     "AutomatonStats",
     "ExtractionAutomaton",
     "automaton_steps",
-    "child_step_eligible",
+    "label_anchor",
     "location_ineligibility",
     "step_constraint",
     "step_ineligibility",
@@ -74,28 +97,22 @@ _UNBOUNDED = sys.maxsize
 #: Flipped comparison for ``literal op position()`` operand order.
 _FLIP = {">=": "<=", ">": "<", "<=": ">=", "<": ">", "=": "=", "!=": "!="}
 
+_NEAREST = 'text()[normalize-space(.) != ""][1]'
 
-def child_step_eligible(step: Step) -> bool:
-    """True for ``child`` steps with at most one positional predicate."""
-    if step.axis != "child":
-        return False
-    if not step.predicates:
-        return True
-    return len(step.predicates) == 1 and isinstance(
-        step.predicates[0], NumberLiteral
-    )
-
-
-def _is_position(expr) -> bool:
-    return (
-        isinstance(expr, FunctionCall)
-        and expr.name == "position"
-        and not expr.args
-    )
+#: The label anchor's left operand (Section 3.4): the nearest non-blank
+#: text before the context node, whitespace-normalised.
+_NEAREST_PRECEDING = FunctionCall(
+    "normalize-space", (parse_xpath(f"preceding::{_NEAREST}"),)
+)
+_NEAREST_FOLLOWING = FunctionCall(
+    "normalize-space", (parse_xpath(f"following::{_NEAREST}"),)
+)
 
 
 def _range_constraint(op: str, value: float) -> Optional[Tuple[int, int, int]]:
     """Bounds for ``position() op value``, or ``None`` when unsupported."""
+    if math.isinf(value):  # a literal too long for a float
+        value = math.copysign(_UNBOUNDED, value)
     if value != value:  # NaN: every comparison but != is false
         if op == "!=":
             return (1, _UNBOUNDED, 0)
@@ -120,15 +137,15 @@ def _range_constraint(op: str, value: float) -> Optional[Tuple[int, int, int]]:
 
 
 def step_constraint(step: Step) -> Optional[Tuple[int, int, int]]:
-    """A step's positional constraint as ``(lo, hi, ne)``, or ``None``.
+    """A positional child step's constraint as ``(lo, hi, ne)``, or ``None``.
 
-    ``None`` means the step cannot ride the automaton.  Otherwise a
-    child node at 1-based position ``i`` among its test-matching
-    siblings matches iff ``lo <= i <= hi and i != ne`` (``ne`` is 0 —
-    never a real position — when there is no exclusion).  Provably
-    void constraints (``TD[0]``, ``position() = 1.5``) come back with
-    ``hi < lo`` and compile to no transition at all, mirroring the
-    generic evaluator selecting nothing.
+    ``None`` means the step is not a ``child`` step with at most one
+    positional predicate.  Otherwise a child node at 1-based position
+    ``i`` among its test-matching siblings matches iff ``lo <= i <= hi
+    and i != ne`` (``ne`` is 0 — never a real position — when there is
+    no exclusion).  Provably void constraints (``TD[0]``, ``position()
+    = 1.5``) come back with ``hi < lo`` and compile to no transition at
+    all, mirroring the generic evaluator selecting nothing.
     """
     if step.axis != "child":
         return None
@@ -140,17 +157,46 @@ def step_constraint(step: Step) -> Optional[Tuple[int, int, int]]:
     if isinstance(predicate, NumberLiteral):
         return _range_constraint("=", predicate.value)
     if isinstance(predicate, BinaryOp):
-        if _is_position(predicate.left) and isinstance(
+        if is_position_call(predicate.left) and isinstance(
             predicate.right, NumberLiteral
         ):
             return _range_constraint(predicate.op, predicate.right.value)
-        if _is_position(predicate.right) and isinstance(
+        if is_position_call(predicate.right) and isinstance(
             predicate.left, NumberLiteral
         ):
             flipped = _FLIP.get(predicate.op)
             if flipped is None:
                 return None
             return _range_constraint(flipped, predicate.left.value)
+    return None
+
+
+def _anchor_parts(predicate) -> Optional[tuple]:
+    """``(nearest, literal, contains)`` of an anchor-shaped predicate."""
+    if isinstance(predicate, BinaryOp) and predicate.op == "=":
+        return predicate.left, predicate.right, False
+    if (
+        isinstance(predicate, FunctionCall)
+        and predicate.name == "contains"
+        and len(predicate.args) == 2
+    ):
+        return predicate.args[0], predicate.args[1], True
+    return None
+
+
+def label_anchor(predicate) -> Optional[Tuple[str, bool]]:
+    """``(literal, contains)`` for the paper's label anchor, else ``None``.
+
+    Matches exactly ``normalize-space(NEAREST) = "literal"`` and
+    ``contains(normalize-space(NEAREST), "literal")`` with ``NEAREST``
+    the ``preceding::`` form of the module grammar.
+    """
+    parts = _anchor_parts(predicate)
+    if parts is None:
+        return None
+    nearest, literal, contains = parts
+    if nearest == _NEAREST_PRECEDING and isinstance(literal, StringLiteral):
+        return literal.value, contains
     return None
 
 
@@ -162,11 +208,17 @@ _SUPPORTED_OPS = frozenset(_FLIP)
 def step_ineligibility(step: Step) -> Optional[str]:
     """Why ``step`` cannot ride the automaton, or ``None`` if it can.
 
-    The exact complement of :func:`step_constraint`: returns ``None``
-    precisely when the step yields a constraint, and otherwise a
-    one-line human reason (surfaced verbatim by the ``RW301`` analyzer
-    finding in :mod:`repro.analysis`).
+    Returns ``None`` precisely for the steps of the module grammar, and
+    otherwise a one-line human reason (surfaced verbatim by the
+    ``RW301`` analyzer finding in :mod:`repro.analysis`).
     """
+    if step.axis == "descendant-or-self":
+        if step == DESCENDANT_OR_SELF_STEP:
+            return None
+        return (
+            "descendant-or-self:: rides the scan only as the bare // "
+            "step"
+        )
     if step.axis != "child":
         return (
             f"axis {step.axis}:: re-anchors the scan and needs the "
@@ -185,7 +237,7 @@ def step_ineligibility(step: Step) -> Optional[str]:
             (predicate.right, predicate.left),
         )
         for position_side, literal_side in sides:
-            if _is_position(position_side):
+            if is_position_call(position_side):
                 if not isinstance(literal_side, NumberLiteral):
                     return (
                         "position() compared against a non-literal "
@@ -197,9 +249,21 @@ def step_ineligibility(step: Step) -> Optional[str]:
                         "index-bound form"
                     )
                 return None
+    parts = _anchor_parts(predicate)
+    if parts is not None:
+        nearest, literal, _ = parts
+        if nearest == _NEAREST_PRECEDING:
+            if isinstance(literal, StringLiteral):
+                return None
+            return "label anchor compared against a non-literal expression"
+        if nearest == _NEAREST_FOLLOWING:
+            return (
+                "following:: label anchor needs text the one-pass scan "
+                "has not reached yet"
+            )
     return (
-        "predicate is not positional (value tests need the generic "
-        "evaluator)"
+        "predicate is neither positional nor a preceding:: label anchor "
+        "(value tests need the generic evaluator)"
     )
 
 
@@ -227,17 +291,11 @@ def location_ineligibility(xpath: XPath) -> Optional[str]:
 def automaton_steps(xpath: XPath) -> Optional[Tuple[Step, ...]]:
     """The step tuple of an automaton-eligible location, or ``None``.
 
-    Only relative location paths whose every step yields a
-    :func:`step_constraint` can ride the single-pass scan; other
-    shapes re-anchor the context or need the generic evaluator.
     :func:`location_ineligibility` names the disqualifying shape.
     """
-    ast = xpath.ast
-    if not isinstance(ast, LocationPath) or ast.absolute or not ast.steps:
+    if location_ineligibility(xpath) is not None:
         return None
-    if all(step_constraint(step) is not None for step in ast.steps):
-        return ast.steps
-    return None
+    return xpath.ast.steps
 
 
 class _State:
@@ -250,8 +308,8 @@ class _State:
     """
 
     __slots__ = (
-        "by_tag", "star", "text", "comment", "node",
-        "emits", "alive", "children",
+        "by_tag", "star", "text", "comment", "node", "descend",
+        "emits", "alive", "children", "loop", "anchor", "closure",
     )
 
     def __init__(self) -> None:
@@ -260,10 +318,19 @@ class _State:
         self.text: Optional[list] = None
         self.comment: Optional[list] = None
         self.node: Optional[list] = None
+        #: Target of this state's ``//`` step (an epsilon edge).
+        self.descend: Optional[_State] = None
         self.emits: list = []
         self.alive = False
         #: step -> child state (trie structure, build time only).
         self.children: dict = {}
+        #: Reached through ``//``: stays live on every descendant.
+        self.loop = False
+        #: ``(literal, contains)`` when reached through a label-anchored
+        #: step: checked against the current label on arrival.
+        self.anchor: Optional[Tuple[str, bool]] = None
+        #: This state plus the states its ``//`` edges reach at once.
+        self.closure: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -289,7 +356,7 @@ class ExtractionAutomaton:
     a compiled instance is thread-safe to share across workers.
     """
 
-    __slots__ = ("_root", "slot_count", "stats")
+    __slots__ = ("_root", "_labels", "slot_count", "stats")
 
     def __init__(
         self, locations: Iterable[Tuple[int, Tuple[Step, ...]]]
@@ -307,6 +374,7 @@ class ExtractionAutomaton:
             state.emits.append(slot)
         states = 0
         transitions = 0
+        labels = False
         stack = [root]
         while stack:
             state = stack.pop()
@@ -315,15 +383,24 @@ class ExtractionAutomaton:
                     transitions += len(table)
             for targets in state.by_tag.values():
                 transitions += len(targets)
+            if state.descend is not None:
+                transitions += 1
             state.alive = bool(
                 state.by_tag or state.star is not None
                 or state.text is not None or state.comment is not None
-                or state.node is not None
+                or state.node is not None or state.descend is not None
             )
+            closure = [state]
+            while closure[-1].descend is not None:
+                closure.append(closure[-1].descend)
+            state.closure = tuple(closure)
+            labels = labels or state.anchor is not None
             children = list(state.children.values())
             states += len(children)
             stack.extend(children)
         self._root = root
+        #: Any label state: carry the nearest preceding label.
+        self._labels = labels
         self.slot_count = slot_count
         self.stats = AutomatonStats(
             slots=slot_count,
@@ -340,7 +417,16 @@ class ExtractionAutomaton:
             return child
         child = _State()
         state.children[step] = child
-        lo, hi, ne = step_constraint(step)
+        if step.axis == "descendant-or-self":
+            child.loop = True
+            state.descend = child
+            return child
+        constraint = step_constraint(step)
+        if constraint is None:
+            # The label anchor: a position-free filter on arrival.
+            child.anchor = label_anchor(step.predicates[0])
+            constraint = (1, _UNBOUNDED, 0)
+        lo, hi, ne = constraint
         if hi < lo:
             # Provably void (``TD[0]``, ``position() = 1.5``): the
             # state exists for trie sharing but no transition ever
@@ -371,122 +457,147 @@ class ExtractionAutomaton:
                 state.node = []
             state.node.append(entry)
         # Any other node test (processing-instruction) matches nothing
-        # in this DOM, mirroring the fast child step.
+        # in this DOM, mirroring the generic evaluator.
         return child
 
     # -- hot path -------------------------------------------------------- #
 
     def scan(self, context: Element) -> list:
-        """One preorder traversal; returns matched nodes per slot.
+        """One preorder traversal of ``context``; matched nodes per slot.
 
         Per-parent counters track position among test-matching
         siblings (per tag for named tests, elements for ``*``, node
         kinds for the type tests), so positional constraints are
-        direct integer comparisons.  Descent only follows children
-        with a live next-state set.
+        direct integer comparisons.  Descent follows only children that
+        reached some state (or, in a label automaton, every child:
+        its text may be a later node's label).
+
+        A stack entry is ``(node, reached, anchored)``: the states the
+        node reached through unanchored steps (and ``//`` self-loops),
+        plus the label-anchored targets whose anchor is checked when
+        the node is visited — only then is the label the text that
+        precedes it.
         """
         results: list = [[] for _ in range(self.slot_count)]
-        root = self._root
-        if not root.alive:
+        if not self._root.alive:
             return results
-        stack = [(context, (root,))]
+        labels = self._labels
+        label = _label_before(context) if labels else ""
+        stack = [(context, self._root.closure, None)]
         pop = stack.pop
         while stack:
-            element, states = pop()
-            children = element.children
+            node, reached, anchored = pop()
+            if anchored is not None:
+                reached = list(reached)
+                for target in anchored:
+                    literal, contains = target.anchor
+                    if (literal in label) if contains else (label == literal):
+                        _reach(reached, target)
+            for state in reached:
+                for slot in state.emits:
+                    results[slot].append(node)
+            if isinstance(node, Text):
+                if labels:
+                    text = " ".join(node.data.split())
+                    if text:
+                        label = text
+                continue
+            children = node.children
             if not children:
                 continue
+            loops = [state for state in reached if state.loop]
             tag_counts: dict = {}
             elem_count = 0
             text_count = 0
             comment_count = 0
             node_count = 0
-            descend = None
+            visits = []
             for child in children:
                 node_count += 1
+                nxt = loops
+                pending = None
                 if isinstance(child, Element):
                     elem_count += 1
                     tag = child.tag
                     count = tag_counts.get(tag, 0) + 1
                     tag_counts[tag] = count
-                    nxt = None
-                    for state in states:
+                    for state in reached:
                         targets = state.by_tag.get(tag)
                         if targets is not None:
-                            for lo, hi, ne, target in targets:
-                                if lo <= count <= hi and count != ne:
-                                    for slot in target.emits:
-                                        results[slot].append(child)
-                                    if target.alive:
-                                        if nxt is None:
-                                            nxt = [target]
-                                        else:
-                                            nxt.append(target)
+                            nxt, pending = _fire(
+                                targets, count, loops, nxt, pending
+                            )
                         if state.star is not None:
-                            for lo, hi, ne, target in state.star:
-                                if lo <= elem_count <= hi and (
-                                    elem_count != ne
-                                ):
-                                    for slot in target.emits:
-                                        results[slot].append(child)
-                                    if target.alive:
-                                        if nxt is None:
-                                            nxt = [target]
-                                        else:
-                                            nxt.append(target)
+                            nxt, pending = _fire(
+                                state.star, elem_count, loops, nxt, pending
+                            )
                         if state.node is not None:
-                            for lo, hi, ne, target in state.node:
-                                if lo <= node_count <= hi and (
-                                    node_count != ne
-                                ):
-                                    for slot in target.emits:
-                                        results[slot].append(child)
-                                    if target.alive:
-                                        if nxt is None:
-                                            nxt = [target]
-                                        else:
-                                            nxt.append(target)
-                    if nxt is not None and child.children:
-                        if descend is None:
-                            descend = [(child, nxt)]
-                        else:
-                            descend.append((child, nxt))
+                            nxt, pending = _fire(
+                                state.node, node_count, loops, nxt, pending
+                            )
                 elif isinstance(child, Text):
                     text_count += 1
-                    for state in states:
+                    for state in reached:
                         if state.text is not None:
-                            for lo, hi, ne, target in state.text:
-                                if lo <= text_count <= hi and (
-                                    text_count != ne
-                                ):
-                                    for slot in target.emits:
-                                        results[slot].append(child)
+                            nxt, pending = _fire(
+                                state.text, text_count, loops, nxt, pending
+                            )
                         if state.node is not None:
-                            for lo, hi, ne, target in state.node:
-                                if lo <= node_count <= hi and (
-                                    node_count != ne
-                                ):
-                                    for slot in target.emits:
-                                        results[slot].append(child)
+                            nxt, pending = _fire(
+                                state.node, node_count, loops, nxt, pending
+                            )
                 else:
                     comment_count += 1
-                    for state in states:
+                    for state in reached:
                         if state.comment is not None:
-                            for lo, hi, ne, target in state.comment:
-                                if lo <= comment_count <= hi and (
-                                    comment_count != ne
-                                ):
-                                    for slot in target.emits:
-                                        results[slot].append(child)
+                            nxt, pending = _fire(
+                                state.comment, comment_count, loops, nxt,
+                                pending,
+                            )
                         if state.node is not None:
-                            for lo, hi, ne, target in state.node:
-                                if lo <= node_count <= hi and (
-                                    node_count != ne
-                                ):
-                                    for slot in target.emits:
-                                        results[slot].append(child)
-            if descend is not None:
-                if len(descend) > 1:
-                    descend.reverse()
-                stack.extend(descend)
+                            nxt, pending = _fire(
+                                state.node, node_count, loops, nxt, pending
+                            )
+                if nxt or pending is not None or labels:
+                    visits.append((child, nxt, pending))
+            visits.reverse()
+            stack.extend(visits)
         return results
+
+
+def _reach(reached: list, target: _State) -> None:
+    """Add ``target`` and its ``//`` closure to ``reached``, once each."""
+    for state in target.closure:
+        if state not in reached:
+            reached.append(state)
+
+
+def _fire(targets: list, position: int, loops: list, nxt: list, pending):
+    """Apply one dispatch list to a child at ``position``.
+
+    Unanchored targets join ``nxt`` (copied off the shared ``loops``
+    list on first write); anchored ones wait in ``pending`` for the
+    child's visit.  Returns the updated ``(nxt, pending)``.
+    """
+    for lo, hi, ne, target in targets:
+        if lo <= position <= hi and position != ne:
+            if target.anchor is not None:
+                if pending is None:
+                    pending = [target]
+                else:
+                    pending.append(target)
+            else:
+                if nxt is loops:
+                    nxt = list(loops)
+                _reach(nxt, target)
+    return nxt, pending
+
+
+def _label_before(context) -> str:
+    """The normalised nearest non-blank text before ``context``, or ``""``."""
+    for node in context.preceding():
+        if isinstance(node, Text):
+            text = " ".join(node.data.split())
+            if text:
+                return text
+    return ""

@@ -3,26 +3,17 @@
 An :class:`~repro.extraction.extractor.ExtractionProcessor` re-walks
 each rule's location path independently on every page.  A
 :class:`CompiledWrapper` instead evaluates a cluster's locations in
-three tiers, without changing semantics:
+two tiers, without changing semantics:
 
 * **Single-pass automaton** — every eligible location (primaries *and*
-  alternatives, across every rule) compiles into one
+  alternatives, across every rule: positional paths, ``//`` and the
+  paper's contextual label anchor) compiles into one
   :class:`~repro.service.automaton.ExtractionAutomaton`, so a page is
   scanned once regardless of rule count.
-* **Residual prefix trie** — relative primaries the automaton cannot
-  absorb (descendant axes, value predicates such as the paper's
-  contextual label anchor) are merged into a step trie; applying a
-  location path is associative over its steps, so evaluating a shared
-  prefix once and continuing per-branch is exact.  The common
-  paper-style step (``child`` axis, optional positional predicate such
-  as ``TR[2]``) is applied with direct child-list indexing while the
-  running node-set is *disjoint* (no node an ancestor of another),
-  where concatenating per-parent matches provably preserves document
-  order and uniqueness; any other step falls back to the generic
-  evaluator and turns the flag off.
 * **Generic select** — everything else (absolute paths, filter
-  expressions, ineligible alternatives) is pre-parsed to an
-  :class:`~repro.xpath.engine.XPath` once and evaluated lazily.
+  expressions, ``following::`` anchors, other value predicates) is
+  pre-parsed to an :class:`~repro.xpath.engine.XPath` once and
+  evaluated lazily, only when its rule reaches it.
 
 Post-processor chains are resolved per component at compile time
 (:meth:`repro.extraction.postprocess.PostProcessor.resolve`), so the
@@ -41,7 +32,6 @@ from typing import Callable, Iterable, Optional
 
 from repro.core.repository import RuleRepository
 from repro.core.rule import MappingRule
-from repro.dom.node import Comment, Element, Node, Text
 from repro.errors import ExtractionError
 from repro.extraction.extractor import (
     ExtractedPage,
@@ -50,83 +40,16 @@ from repro.extraction.extractor import (
     classify_failure,
 )
 from repro.extraction.postprocess import PostProcessor
-from repro.service.automaton import (
-    ExtractionAutomaton,
-    automaton_steps,
-    child_step_eligible,
-)
+from repro.service.automaton import ExtractionAutomaton, automaton_steps
 from repro.sites.page import WebPage
-from repro.xpath.ast import LocationPath, NameTest, NodeTypeTest, Step
+from repro.xpath.ast import Step
 from repro.xpath.engine import XPath, compile_xpath
-from repro.xpath.evaluator import Evaluator, XPathContext
+from repro.xpath.evaluator import Evaluator
 
+#: Module-level patch point for tracing harnesses that time generic
+#: evaluator calls made from this module; the fallback tier itself goes
+#: through :meth:`XPath.select`.
 _EVALUATOR = Evaluator()
-
-
-# --------------------------------------------------------------------- #
-# Prefix trie
-# --------------------------------------------------------------------- #
-
-
-class _TrieNode:
-    """One factored location step; terminals are rule indices."""
-
-    __slots__ = ("step", "children", "terminals", "fast")
-
-    def __init__(self, step: Step, fast: bool) -> None:
-        self.step = step
-        self.children: dict[Step, "_TrieNode"] = {}
-        self.terminals: list[int] = []
-        self.fast = fast
-
-
-# The trie's fast-step criterion and the automaton's are one and the
-# same shape — a single definition keeps them provably in sync.
-_fast_step_eligible = child_step_eligible
-
-
-def _apply_fast_child_step(step: Step, parents: list) -> list:
-    """Direct child-list indexing for the common paper-style step.
-
-    ``parents`` must be document-ordered and disjoint (no ancestry
-    between members): children of distinct nodes are then disjoint and
-    their in-order concatenation is document order, so no sort/dedup
-    pass is needed.
-    """
-    position: Optional[int] = None
-    if step.predicates:
-        value = step.predicates[0].value
-        if value != int(value) or value < 1:
-            return []
-        position = int(value)
-    test = step.node_test
-    out: list = []
-    for parent in parents:
-        children = parent.children
-        if not children:
-            continue
-        if isinstance(test, NameTest):
-            if test.name == "*":
-                matched = [c for c in children if isinstance(c, Element)]
-            else:
-                tag = test.name.upper()
-                matched = [
-                    c for c in children
-                    if isinstance(c, Element) and c.tag == tag
-                ]
-        elif test.node_type == "node":
-            matched = list(children)
-        elif test.node_type == "text":
-            matched = [c for c in children if isinstance(c, Text)]
-        elif test.node_type == "comment":
-            matched = [c for c in children if isinstance(c, Comment)]
-        else:
-            matched = []
-        if position is None:
-            out.extend(matched)
-        elif len(matched) >= position:
-            out.append(matched[position - 1])
-    return out
 
 
 # --------------------------------------------------------------------- #
@@ -140,23 +63,16 @@ class CompiledRule:
 
     Attributes:
         rule: the underlying mapping rule.
-        index: position within the wrapper (trie terminal key).
         locations: every location pre-compiled, in rule order.
-        trie_primary: whether the primary location is evaluated through
-            the wrapper's residual prefix trie (alternatives outside the
-            automaton always evaluate lazily — they only run when the
-            primary is void).
         post: pre-resolved post-processing chain, or ``None``.
+        slots: automaton slot per location (parallel to
+            ``locations``); ``None`` where a location is ineligible and
+            evaluates lazily through the generic engine.
     """
 
     rule: MappingRule
-    index: int
     locations: tuple[XPath, ...]
-    trie_primary: bool
     post: Optional[Callable[[list[str]], list[str]]]
-    #: Automaton slot per location (parallel to ``locations``); ``None``
-    #: where a location is ineligible and must evaluate through the
-    #: residual trie or the generic engine.
     slots: tuple[Optional[int], ...] = ()
 
     @property
@@ -167,18 +83,9 @@ class CompiledRule:
 
 @dataclass(frozen=True)
 class CompilerStats:
-    """Prefix-sharing accounting (compile time, per wrapper).
-
-    The trie fields describe the residual trie ``extract_page`` walks:
-    primaries the automaton absorbed are counted under the automaton
-    fields only.
-    """
+    """Prefix-sharing accounting (compile time, per wrapper)."""
 
     rules: int
-    trie_rules: int       # rules whose primary went into the residual trie
-    primary_steps: int    # total steps across those primaries
-    trie_nodes: int       # distinct steps actually evaluated per page
-    # -- single-pass automaton --
     automaton_slots: int = 0        # locations riding the one-pass scan
     automaton_states: int = 0       # distinct automaton states
     automaton_transitions: int = 0  # dispatch-table entries
@@ -187,11 +94,6 @@ class CompilerStats:
     #: through by deploy paths that lint what they compile (registry
     #: compiles); 0 for direct in-memory builds that skip analysis.
     lint_findings: int = 0
-
-    @property
-    def steps_shared(self) -> int:
-        """Steps per page saved by prefix factoring."""
-        return self.primary_steps - self.trie_nodes
 
     @property
     def automaton_steps_saved(self) -> int:
@@ -206,10 +108,6 @@ class CompilerStats:
         """A JSON-ready view (``registry show --stats``, progress)."""
         return {
             "rules": self.rules,
-            "trie_rules": self.trie_rules,
-            "primary_steps": self.primary_steps,
-            "trie_nodes": self.trie_nodes,
-            "steps_shared": self.steps_shared,
             "automaton_slots": self.automaton_slots,
             "automaton_states": self.automaton_states,
             "automaton_transitions": self.automaton_transitions,
@@ -232,7 +130,6 @@ class CompiledWrapper:
         cluster: str,
         rules: list[CompiledRule],
         automaton: ExtractionAutomaton,
-        residual_root: _TrieNode,
         stats: CompilerStats,
         version: Optional[str] = None,
     ) -> None:
@@ -240,10 +137,6 @@ class CompiledWrapper:
         self.rules = rules
         #: The single-pass automaton over every eligible location.
         self.automaton = automaton
-        #: Trie over factorable primaries the automaton could *not*
-        #: absorb (descendant axes, value predicates): walked alongside
-        #: the scan so those rules keep their prefix sharing.
-        self._residual_root = residual_root
         self.stats = stats
         #: Registry version id of the artifact this wrapper was
         #: compiled from (``None`` for direct in-memory builds).
@@ -259,33 +152,19 @@ class CompiledWrapper:
         """Apply every rule to one page (same contract as the processor)."""
         context = page.root_element
         hits = self.automaton.scan(context)
-        primary_hits = self._walk_trie(context)
         extracted = ExtractedPage(url=page.url)
         for crule in self.rules:
             rule = crule.rule
-            slot = crule.slots[0]
-            if slot is not None:
-                nodes = hits[slot]
-            elif crule.trie_primary:
-                nodes = primary_hits.get(crule.index)
-            else:
-                nodes = crule.locations[0].select(context)
-            if nodes:
-                match = rule.match_from_nodes(nodes, rule.primary_location)
-            else:
-                match = None
-                for xpath, alt_slot in zip(
-                    crule.locations[1:], crule.slots[1:]
-                ):
-                    nodes = (
-                        hits[alt_slot] if alt_slot is not None
-                        else xpath.select(context)
-                    )
-                    if nodes:
-                        match = rule.match_from_nodes(nodes, xpath.source)
-                        break
-                if match is None:
-                    match = rule.match_from_nodes([], None)
+            match = None
+            for xpath, slot in zip(crule.locations, crule.slots):
+                nodes = (
+                    hits[slot] if slot is not None else xpath.select(context)
+                )
+                if nodes:
+                    match = rule.match_from_nodes(nodes, xpath.source)
+                    break
+            if match is None:
+                match = rule.match_from_nodes([], None)
             if failures is not None:
                 reason = classify_failure(rule, len(match.values))
                 if reason is not None:
@@ -306,49 +185,10 @@ class CompiledWrapper:
             result.pages.append(self.extract_page(page, result.failures))
         return result
 
-    # -- internals ------------------------------------------------------- #
-
-    def _walk_trie(self, context: Node) -> dict[int, list]:
-        """Evaluate every residual primary with one shared DOM walk."""
-        root = self._residual_root
-        results: dict[int, list] = {}
-        if not root.children:
-            return results
-        xcontext = XPathContext(context, 1, 1, {})
-        stack: list[tuple[_TrieNode, list]] = [
-            (node, [context]) for node in root.children.values()
-        ]
-        while stack:
-            node, parents = stack.pop()
-            if not parents:
-                nodes: list = []
-            elif node.fast:
-                nodes = _apply_fast_child_step(node.step, parents)
-            else:
-                nodes = _EVALUATOR.apply_steps([node.step], parents, xcontext)
-            for index in node.terminals:
-                results[index] = nodes
-            for child in node.children.values():
-                stack.append((child, nodes))
-        return results
-
 
 # --------------------------------------------------------------------- #
 # Compilation
 # --------------------------------------------------------------------- #
-
-
-def _trie_candidate(xpath: XPath) -> Optional[tuple[Step, ...]]:
-    """The step tuple of a factorable location, or ``None``.
-
-    Only *relative* location paths join the trie: absolute paths and
-    filter expressions re-anchor the context and evaluate lazily
-    through the generic engine instead.
-    """
-    ast = xpath.ast
-    if isinstance(ast, LocationPath) and not ast.absolute and ast.steps:
-        return ast.steps
-    return None
 
 
 def compile_wrapper(
@@ -377,12 +217,9 @@ def compile_wrapper(
     if not rules:
         raise ExtractionError(f"no rules recorded for cluster {cluster!r}")
 
-    residual_root = _TrieNode(Step("self", NodeTypeTest("node")), fast=True)
     compiled: list[CompiledRule] = []
-    trie_rules = 0
-    primary_steps = 0
     slot_locations: list[tuple[int, tuple[Step, ...]]] = []
-    for index, rule in enumerate(rules):
+    for rule in rules:
         locations = tuple(compile_xpath(loc) for loc in rule.locations)
         slots: list[Optional[int]] = []
         for xpath in locations:
@@ -393,12 +230,6 @@ def compile_wrapper(
                 slot = len(slot_locations)
                 slots.append(slot)
                 slot_locations.append((slot, auto_steps))
-        steps = _trie_candidate(locations[0]) if slots[0] is None else None
-        trie_primary = steps is not None
-        if trie_primary:
-            trie_rules += 1
-            primary_steps += len(steps)
-            _trie_insert(residual_root, steps, index)
         post = (
             postprocessor.resolve(rule.name)
             if postprocessor is not None
@@ -407,9 +238,7 @@ def compile_wrapper(
         compiled.append(
             CompiledRule(
                 rule=rule,
-                index=index,
                 locations=locations,
-                trie_primary=trie_primary,
                 post=post,
                 slots=tuple(slots),
             )
@@ -419,39 +248,11 @@ def compile_wrapper(
     auto_stats = automaton.stats
     stats = CompilerStats(
         rules=len(rules),
-        trie_rules=trie_rules,
-        primary_steps=primary_steps,
-        trie_nodes=_count_nodes(residual_root),
         automaton_slots=auto_stats.slots,
         automaton_states=auto_stats.states,
         automaton_transitions=auto_stats.transitions,
         automaton_location_steps=auto_stats.location_steps,
         lint_findings=lint_findings,
     )
-    return CompiledWrapper(
-        cluster, compiled, automaton, residual_root, stats, version=version
-    )
+    return CompiledWrapper(cluster, compiled, automaton, stats, version=version)
 
-
-def _trie_insert(root: _TrieNode, steps: tuple[Step, ...], index: int) -> None:
-    """Thread one primary's steps into a trie, marking the terminal."""
-    node = root
-    for step in steps:
-        child = node.children.get(step)
-        if child is None:
-            child = _TrieNode(
-                step, fast=node.fast and _fast_step_eligible(step)
-            )
-            node.children[step] = child
-        node = child
-    node.terminals.append(index)
-
-
-def _count_nodes(root: _TrieNode) -> int:
-    count = 0
-    stack = list(root.children.values())
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(node.children.values())
-    return count

@@ -85,6 +85,15 @@ class FunctionCall(Expr):
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
+def is_position_call(expr: Expr) -> bool:
+    """True for a bare ``position()`` call."""
+    return (
+        isinstance(expr, FunctionCall)
+        and expr.name == "position"
+        and not expr.args
+    )
+
+
 @dataclass(frozen=True)
 class BinaryOp(Expr):
     """Any infix operation: or/and/=/!=/</<=/>/>=/+/-/*/div/mod/|."""

@@ -26,7 +26,7 @@ case-insensitive, and the DOM stores them upper-case so the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.dom.node import Comment, Element, Text
 from repro.errors import XPathEvaluationError, XPathTypeError
@@ -42,6 +42,7 @@ from repro.xpath.ast import (
     StringLiteral,
     UnaryMinus,
     VariableRef,
+    is_position_call,
 )
 from repro.xpath.functions import (
     FUNCTIONS,
@@ -51,9 +52,12 @@ from repro.xpath.functions import (
     to_string,
 )
 
-_REVERSE_AXES = frozenset(
-    {"ancestor", "ancestor-or-self", "preceding", "preceding-sibling", "parent"}
+#: Functions whose value is always a boolean: a predicate rooted in one
+#: of these (or in a comparison) never compares against position().
+_BOOLEAN_FUNCTIONS = frozenset(
+    {"boolean", "not", "true", "false", "contains", "starts-with", "ends-with"}
 )
+_BOOLEAN_OPS = frozenset({"or", "and", "=", "!=", "<", "<=", ">", ">="})
 
 
 @dataclass(frozen=True)
@@ -266,7 +270,7 @@ class Evaluator:
             )
         nodes = _sort_node_set(value)
         for predicate in path.predicates:
-            nodes = self._filter_by_predicate(nodes, predicate, context, reverse=False)
+            nodes = self._filter_by_predicate(nodes, predicate, context)
         if path.steps:
             return self._apply_steps(path.steps, nodes, context)
         return nodes
@@ -292,23 +296,50 @@ class Evaluator:
         return current
 
     def _apply_step(self, step: Step, node, context: XPathContext) -> list:
-        candidates = [
+        # Candidates stream in axis order, so position() inside a
+        # predicate counts along the axis direction naturally.
+        axis, test = step.axis, step.node_test
+        candidates = (
             candidate
-            for candidate in self._axis(step.axis, node)
-            if self._matches_test(step.axis, step.node_test, candidate)
-        ]
-        reverse = step.axis in _REVERSE_AXES
-        for predicate in step.predicates:
+            for candidate in self._axis(axis, node)
+            if self._matches_test(axis, test, candidate)
+        )
+        predicates = step.predicates
+        wanted = _stop_position(predicates)
+        if wanted is not None:
+            return self._nth_match(candidates, predicates[:-1], wanted, context)
+        candidates = list(candidates)
+        for predicate in predicates:
             candidates = self._filter_by_predicate(
-                candidates, predicate, context, reverse=False
+                candidates, predicate, context
             )
-            # Candidates are already ordered along the axis direction, so
-            # position() inside the predicate counts axis order naturally;
-            # no extra reversal is needed here.
         return candidates
 
+    def _nth_match(
+        self, candidates, filters, wanted: float, context: XPathContext
+    ) -> list:
+        """The ``wanted``-th candidate passing ``filters``, as a node-set.
+
+        Stops consuming the axis at that candidate.  ``filters`` use
+        neither ``position()`` nor ``last()``, so their context
+        position and size are immaterial.
+        """
+        if not wanted.is_integer() or wanted < 1:
+            return []
+        remaining = int(wanted)
+        for index, candidate in enumerate(candidates, start=1):
+            sub_context = context.with_node(candidate, index, index)
+            if all(
+                to_boolean(self.evaluate(predicate, sub_context))
+                for predicate in filters
+            ):
+                remaining -= 1
+                if remaining == 0:
+                    return [candidate]
+        return []
+
     def _filter_by_predicate(
-        self, nodes: list, predicate: Expr, context: XPathContext, reverse: bool
+        self, nodes: list, predicate: Expr, context: XPathContext
     ) -> list:
         size = len(nodes)
         kept: list = []
@@ -326,19 +357,20 @@ class Evaluator:
     # Axes and node tests
     # ------------------------------------------------------------------ #
 
-    def _axis(self, axis: str, node) -> list:
+    def _axis(self, axis: str, node) -> Iterable:
+        """The ``axis`` members of ``node``, lazily, in axis order."""
         if isinstance(node, AttributeNode):
             return self._attribute_axis_member(axis, node)
         if axis == "child":
-            return list(node.children)
+            return node.children
         if axis == "descendant":
-            return list(node.descendants())
+            return node.descendants()
         if axis == "descendant-or-self":
-            return list(node.self_and_descendants())
+            return node.self_and_descendants()
         if axis == "parent":
             return [node.parent] if node.parent is not None else []
         if axis == "ancestor":
-            return list(node.ancestors())
+            return node.ancestors()
         if axis == "ancestor-or-self":
             return [node, *node.ancestors()]
         if axis == "self":
@@ -354,9 +386,9 @@ class Evaluator:
             index = node.index_in_parent
             return list(reversed(node.parent.children[:index]))
         if axis == "following":
-            return list(node.following())
+            return node.following()
         if axis == "preceding":
-            return list(node.preceding())
+            return node.preceding()
         if axis == "attribute":
             if isinstance(node, Element):
                 return [
@@ -396,3 +428,78 @@ class Evaluator:
         if not isinstance(candidate, Element):
             return False
         return test.name == "*" or candidate.tag == test.name.upper()
+
+
+def _stop_position(predicates) -> Optional[float]:
+    """N when a step can stop at its N-th candidate, else ``None``.
+
+    That holds when the last predicate is ``[N]`` or ``[position() =
+    N]`` for a number literal N and every earlier predicate is a
+    boolean test that uses neither ``position()`` nor ``last()``: the
+    earlier ones then keep or drop each candidate on its own, and the
+    last keeps only the N-th survivor.
+    """
+    if not predicates:
+        return None
+    last = predicates[-1]
+    if isinstance(last, NumberLiteral):
+        wanted = last.value
+    elif isinstance(last, BinaryOp) and last.op == "=":
+        if is_position_call(last.left) and isinstance(
+            last.right, NumberLiteral
+        ):
+            wanted = last.right.value
+        elif is_position_call(last.right) and isinstance(
+            last.left, NumberLiteral
+        ):
+            wanted = last.left.value
+        else:
+            return None
+    else:
+        return None
+    for predicate in predicates[:-1]:
+        if not _is_boolean(predicate) or _uses_context_position(predicate):
+            return None
+    return wanted
+
+
+def _is_boolean(expr) -> bool:
+    """Whether ``expr`` is statically a boolean or a node-set test."""
+    if isinstance(expr, BinaryOp):
+        return expr.op in _BOOLEAN_OPS
+    if isinstance(expr, FunctionCall):
+        return expr.name in _BOOLEAN_FUNCTIONS
+    return isinstance(expr, LocationPath)
+
+
+def _uses_context_position(expr) -> bool:
+    """Whether ``position()`` or ``last()`` occurs anywhere in ``expr``.
+
+    Conservative: occurrences inside nested paths' own predicates count
+    too, though those see their own context.
+    """
+    if isinstance(expr, FunctionCall):
+        if expr.name in ("position", "last"):
+            return True
+        return any(_uses_context_position(arg) for arg in expr.args)
+    if isinstance(expr, BinaryOp):
+        return _uses_context_position(expr.left) or _uses_context_position(
+            expr.right
+        )
+    if isinstance(expr, UnaryMinus):
+        return _uses_context_position(expr.operand)
+    if isinstance(expr, LocationPath):
+        steps = expr.steps
+    elif isinstance(expr, FilterPath):
+        if _uses_context_position(expr.primary) or any(
+            _uses_context_position(p) for p in expr.predicates
+        ):
+            return True
+        steps = expr.steps
+    else:
+        return False
+    return any(
+        _uses_context_position(predicate)
+        for step in steps
+        for predicate in step.predicates
+    )

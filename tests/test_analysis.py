@@ -75,6 +75,21 @@ def news():
     return repository, router
 
 
+#: A label anchor on the following:: axis: the automaton cannot serve
+#: it (the label comes after the value), so it carries an RW301 info.
+FOLLOWING_ANCHOR = (
+    'BODY//SPAN/text()[normalize-space(following::text()'
+    '[normalize-space(.) != ""][1]) = "Updated"]'
+)
+
+
+def _with_following_anchor(repository: RuleRepository) -> RuleRepository:
+    """A copy of the news family plus one automaton-ineligible rule."""
+    copy = RuleRepository.from_dict(repository.to_dict())
+    copy.record("news-articles", _rule("teaser", FOLLOWING_ANCHOR))
+    return copy
+
+
 # --------------------------------------------------------------------- #
 # Catalogue (the METRIC_SPECS pattern: one declaration, no drift)
 # --------------------------------------------------------------------- #
@@ -225,7 +240,7 @@ class TestAnalyzeRule:
         assert [f for f in analyze_rule(rule) if f.code == "RW201"] == []
 
     def test_rw301_carries_the_automaton_reason(self):
-        findings = analyze_rule(_rule("x", "BODY[1]//SPAN[1]"))
+        findings = analyze_rule(_rule("x", "BODY[1]/descendant::SPAN[1]"))
         (finding,) = [f for f in findings if f.code == "RW301"]
         assert finding.severity == "info"
         assert "descendant" in finding.message
@@ -426,7 +441,7 @@ class TestMutations:
             run_mutation("corrupted-artifact", repository, router)
 
     def test_no_eligible_rule_is_a_lookup_error(self):
-        ineligible = _repository(_rule("x", "BODY[1]//SPAN"))
+        ineligible = _repository(_rule("x", "BODY[1]/descendant::SPAN"))
         with pytest.raises(LookupError):
             run_mutation("unsatisfiable-predicate", ineligible, None)
 
@@ -523,15 +538,17 @@ class TestStatsPassthrough:
     ):
         repository, router = news
         registry = ArtifactRegistry(tmp_path / "reg")
-        manifest = registry.publish(repository, router, source="test")
+        manifest = registry.publish(
+            _with_following_anchor(repository), router, source="test"
+        )
         assert main([
             "registry", "show", str(tmp_path / "reg"),
             manifest.version, "--stats",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         stats = payload["compiler_stats"]["news-articles"]
-        # The induced family carries RW301 eligibility infos; compile
-        # attaches the per-cluster count to its stats.
+        # The following:: anchor carries an RW301 eligibility info;
+        # compile attaches the per-cluster count to its stats.
         assert stats["lint_findings"] >= 1
 
 
@@ -545,7 +562,7 @@ class TestLintCli:
     def rules_file(self, news, tmp_path_factory):
         repository, _ = news
         path = tmp_path_factory.mktemp("lint") / "rules.json"
-        repository.save(path)
+        _with_following_anchor(repository).save(path)
         return path
 
     def test_clean_at_default_gate(self, rules_file, capsys):
@@ -553,7 +570,7 @@ class TestLintCli:
         assert "finding(s)" in capsys.readouterr().err
 
     def test_info_gate_fails_on_info_findings(self, rules_file):
-        # The induced family carries RW301 eligibility infos.
+        # The following:: anchor carries an RW301 eligibility info.
         assert main(["lint", str(rules_file), "--severity", "info"]) == 1
 
     def test_json_report_parses(self, rules_file, capsys):

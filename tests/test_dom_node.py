@@ -126,6 +126,21 @@ class TestNavigation:
         doc, body, div1, p1, t1, p2, t2, b, tb, div2 = build_tree()
         assert list(tb.preceding()) == [t2, t1, p1]
 
+    def test_preceding_on_a_deep_tree_does_not_recurse(self):
+        # The preceding sibling is a 3000-deep subtree, walked in
+        # reverse document order: deepest text first, its root last.
+        doc = Document("http://deep/")
+        body = doc.append_child(Element("body"))
+        parent = body
+        for _ in range(3000):
+            parent = parent.append_child(Element("div"))
+        deepest = parent.append_child(Text("deep"))
+        last = body.append_child(Text("last"))
+        preceding = list(last.preceding())
+        assert len(preceding) == 3001
+        assert preceding[0] is deepest
+        assert preceding[-1] is body.children[0]
+
     def test_following_excludes_descendants(self):
         doc, body, div1, p1, t1, p2, t2, b, tb, div2 = build_tree()
         assert list(p1.following()) == [p2, t2, b, tb, div2]

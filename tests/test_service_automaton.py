@@ -12,8 +12,8 @@ from repro.extraction.extractor import ExtractionProcessor
 from repro.service.automaton import (
     ExtractionAutomaton,
     automaton_steps,
-    child_step_eligible,
     step_constraint,
+    step_ineligibility,
     _UNBOUNDED,
 )
 from repro.service.metrics import MetricsRegistry, ProgressEmitter
@@ -35,9 +35,9 @@ def _first_step(expression: str) -> Step:
 
 class TestEligibility:
     def test_plain_and_number_literal_steps(self):
-        assert child_step_eligible(_first_step("TR"))
-        assert child_step_eligible(_first_step("TR[2]"))
-        assert not child_step_eligible(_first_step("TR[position() >= 2]"))
+        assert step_ineligibility(_first_step("TR")) is None
+        assert step_ineligibility(_first_step("TR[2]")) is None
+        assert step_constraint(_first_step("TR[2]")) == (2, 2, 0)
 
     @pytest.mark.parametrize("expression, expected", [
         ("TR", (1, _UNBOUNDED, 0)),
@@ -67,13 +67,27 @@ class TestEligibility:
 
     @pytest.mark.parametrize("expression", [
         "/BODY[1]/DIV[1]",            # absolute: re-anchors the context
-        "BODY//DIV[1]",               # descendant axis
+        "BODY/descendant::DIV[1]",    # descendant axis
         "DIV[@id]",                   # value predicate
         "DIV[position() mod 2]",      # unsupported comparison shape
         "DIV[1][2]",                  # more than one predicate
     ])
     def test_ineligible_locations(self, expression):
         assert automaton_steps(compile_xpath(expression)) is None
+
+    def test_overlong_literals_compile_and_scan_like_select(self):
+        # A 400-digit literal parses to float infinity; the bounds must
+        # still come out as integers and agree with the evaluator.
+        huge = "9" * 400
+        context = TestScan.PAGE.root_element
+        for expression in (
+            f"BODY[1]/DIV[2]/UL[1]/LI[{huge}]",
+            f"BODY[1]/DIV[2]/UL[1]/LI[position() <= {huge}]",
+            f"BODY[1]/DIV[2]/UL[1]/LI[position() != {huge}]",
+        ):
+            xpath = compile_xpath(expression)
+            automaton = ExtractionAutomaton([(0, automaton_steps(xpath))])
+            assert automaton.scan(context)[0] == xpath.select(context)
 
     def test_eligible_location_returns_its_steps(self):
         steps = automaton_steps(compile_xpath("DIV[2]/TABLE[1]/TR"))
@@ -102,6 +116,13 @@ class TestScan:
         "BODY[1]/DIV[2]/P[1]/node()",
         "BODY[1]/DIV[1]/TABLE[1]/TR",   # matches nothing
         "BODY[1]/DIV[2]/TABLE[1]/TR[0]",  # provably void
+        "BODY//TD",
+        "BODY//text()[1]",
+        "BODY[1]/DIV[2]//node()",
+        "BODY//*[normalize-space(preceding::text()"
+        "[normalize-space(.) != \"\"][1]) = \"skip\"]/TABLE[1]//TD",
+        "BODY//text()[contains(normalize-space(preceding::text()"
+        "[normalize-space(.) != \"\"][1]), \"o\")]",
     ])
     def test_scan_matches_generic_evaluator(self, expression):
         xpath = compile_xpath(expression)
@@ -253,8 +274,7 @@ class TestCompilerStats:
             "imdb-movies"
         ).stats.as_dict()
         assert set(payload) == {
-            "rules", "trie_rules", "primary_steps", "trie_nodes",
-            "steps_shared", "automaton_slots", "automaton_states",
+            "rules", "automaton_slots", "automaton_states",
             "automaton_transitions", "automaton_location_steps",
             "automaton_steps_saved", "lint_findings",
         }

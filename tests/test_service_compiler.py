@@ -10,14 +10,21 @@ from repro.core.repository import RuleRepository
 from repro.core.rule import MappingRule
 from repro.extraction.extractor import ExtractionProcessor
 from repro.extraction.postprocess import PostProcessor, regex_extractor, split_list
-from repro.service.compiler import (
-    CompiledWrapper,
-    _apply_fast_child_step,
-    _fast_step_eligible,
-    compile_wrapper,
+from repro.service.automaton import (
+    ExtractionAutomaton,
+    automaton_steps,
+    step_ineligibility,
 )
-from repro.sites import generate_shop_site
+from repro.service.compiler import CompiledWrapper, compile_wrapper
+from repro.sites import (
+    generate_imdb_site,
+    generate_news_site,
+    generate_shop_site,
+    generate_stocks_site,
+)
 from repro.sites.page import WebPage
+from repro.sites.variation import DEPTH_COMPONENTS, generate_depth_cluster
+from repro.xpath.engine import compile_xpath
 from repro.xpath.parser import parse_xpath
 
 
@@ -45,23 +52,20 @@ class TestCompilation:
         wrappers = service_repository.compile_all()
         assert set(wrappers) == {"imdb-movies", "imdb-actors"}
 
-    def test_automaton_primaries_stay_out_of_the_trie(
-        self, service_repository
-    ):
-        # title/rating/genres are all positional paths: each primary is
-        # an automaton slot, so the residual trie holds nothing.
+    def test_every_imdb_location_is_a_slot(self, service_repository):
+        # title/rating/genres are all positional paths: every location,
+        # alternatives included, rides the single-pass scan.
         stats = service_repository.compile_cluster("imdb-movies").stats
-        assert stats.automaton_slots >= 3
-        assert stats.trie_rules == 0
-        assert stats.primary_steps == 0
-        assert stats.trie_nodes == 0
-        assert stats.steps_shared == 0
+        locations = sum(
+            len(rule.locations)
+            for rule in service_repository.rules("imdb-movies")
+        )
+        assert stats.automaton_slots == locations >= 3
 
     def test_prefix_factoring_shares_steps(self):
         # The shop family's primaries are the paper's contextual label
-        # anchors, all under BODY// — none fits the automaton, and the
-        # residual trie must hold strictly fewer nodes than the flat
-        # step count.
+        # anchors, all under BODY//: every one is a slot, and the
+        # shared BODY and // steps are single automaton states.
         pages = generate_shop_site(24, seed=4).pages_with_hint(
             "shop-products"
         )
@@ -71,39 +75,103 @@ class TestCompilation:
             cluster_name="shop-products", seed=1,
         ).build_all(["product-name", "price", "old-price", "features"])
         stats = repository.compile_cluster("shop-products").stats
-        assert stats.automaton_slots == 0
-        assert stats.trie_rules == 4
-        assert stats.trie_nodes < stats.primary_steps
-        assert stats.steps_shared > 0
+        assert stats.automaton_slots == 4
+        assert stats.automaton_transitions < stats.automaton_location_steps
+        assert stats.automaton_steps_saved > 0
 
     def test_disjoint_prefixes_do_not_share(self):
         repository = _repo(
             ("a", ["BODY[1]//P[1]/text()[1]"]),
             ("b", ["DIV[1]//P[1]/text()[1]"]),
         )
-        wrapper = repository.compile_cluster("c")
-        assert wrapper.stats.trie_rules == 2
-        assert wrapper.stats.steps_shared == 0
+        stats = repository.compile_cluster("c").stats
+        assert stats.automaton_slots == 2
+        assert stats.automaton_steps_saved == 0
 
-    def test_absolute_location_stays_out_of_trie(self):
+    def test_absolute_location_stays_out_of_the_automaton(self):
         repository = _repo(("a", ["/HTML[1]/BODY[1]/P[1]/text()[1]"]))
         wrapper = repository.compile_cluster("c")
-        assert wrapper.stats.trie_rules == 0
+        assert wrapper.stats.automaton_slots == 0
         page = WebPage(url="http://x/", html="<body><p>hello</p></body>")
         assert wrapper.extract_page(page).values["a"] == ["hello"]
 
 
+#: The five site families the e2e benchmark and the lint gate induce,
+#: with the same generator seeds.
+FAMILIES = [
+    pytest.param(
+        lambda: generate_imdb_site(
+            n_movies=12, n_actors=4, n_search=2, seed=4
+        ).pages_with_hint("imdb-movies"),
+        "imdb-movies", ["title", "rating", "genres"], id="imdb-movies",
+    ),
+    pytest.param(
+        lambda: generate_shop_site(12, seed=4).pages_with_hint(
+            "shop-products"
+        ),
+        "shop-products", ["product-name", "price", "old-price", "features"],
+        id="shop-products",
+    ),
+    pytest.param(
+        lambda: generate_news_site(12, seed=4).pages_with_hint(
+            "news-articles"
+        ),
+        "news-articles", ["headline", "byline", "date"], id="news-articles",
+    ),
+    pytest.param(
+        lambda: generate_stocks_site(10, seed=4).pages_with_hint(
+            "stock-quotes"
+        ),
+        "stock-quotes", ["company", "last-price", "change", "intraday-prices"],
+        id="stock-quotes",
+    ),
+    pytest.param(
+        lambda: generate_depth_cluster(1, n_pages=16, seed=3),
+        "depth-1", list(DEPTH_COMPONENTS), id="depth-1",
+    ),
+]
+
+
+@pytest.mark.parametrize("factory, cluster, components", FAMILIES)
+def test_family_compiles_every_location_to_a_slot(
+    factory, cluster, components
+):
+    pages = factory()
+    repository = RuleRepository()
+    MappingRuleBuilder(
+        pages[:8], ScriptedOracle(), repository=repository,
+        cluster_name=cluster, seed=1,
+    ).build_all(components)
+    locations = sum(len(rule.locations) for rule in repository.rules(cluster))
+    wrapper = repository.compile_cluster(cluster)
+    assert wrapper.stats.automaton_slots == locations
+    assert all(
+        slot is not None for crule in wrapper.rules for slot in crule.slots
+    )
+    processor = ExtractionProcessor(repository, cluster)
+    for page in pages:
+        assert (
+            wrapper.extract_page(page).raw_values
+            == processor.extract_page(page).raw_values
+        )
+
+
 class TestFastStep:
+    """The automaton's positional child steps: the paper-style path."""
+
     def _steps(self, source):
         return parse_xpath(source).steps
 
+    def _scan(self, source, context):
+        steps = automaton_steps(compile_xpath(source))
+        assert steps is not None
+        return ExtractionAutomaton([(0, steps)]).scan(context)[0]
+
     def test_eligibility(self):
-        steps = self._steps("DIV[2]/P/text()[1]")
-        assert all(_fast_step_eligible(step) for step in steps)
-        (pred,) = self._steps("LI[position() >= 1]")
-        assert not _fast_step_eligible(pred)
+        steps = self._steps("DIV[2]/P/text()[1]/LI[position() >= 1]")
+        assert all(step_ineligibility(step) is None for step in steps)
         (desc,) = self._steps("descendant::P")
-        assert not _fast_step_eligible(desc)
+        assert "descendant" in step_ineligibility(desc)
 
     def test_matches_generic_evaluator(self, simple_root):
         from repro.xpath.engine import select
@@ -113,17 +181,13 @@ class TestFastStep:
             "BODY[1]/DIV[2]/UL[1]/LI[2]/text()[1]",
             "BODY[1]/DIV[1]/H1[1]/text()[1]",
         ]:
-            expected = select(simple_root, source)
-            nodes = [simple_root]
-            for step in self._steps(source):
-                assert _fast_step_eligible(step)
-                nodes = _apply_fast_child_step(step, nodes)
-            assert nodes == expected
+            assert self._scan(source, simple_root) == select(
+                simple_root, source
+            )
 
     def test_fractional_position_matches_nothing(self):
         page = WebPage(url="http://x/", html="<body><p>a</p></body>")
-        (step,) = self._steps("P[1.5]")
-        assert _apply_fast_child_step(step, [page.root_element]) == []
+        assert self._scan("BODY[1]/P[1.5]", page.root_element) == []
 
 
 class TestByteIdentity:
